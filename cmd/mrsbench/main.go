@@ -17,7 +17,7 @@
 //	                           generator (-sessions N concurrent sessions);
 //	                           any other value is a running daemon's TCP
 //	                           address. Emits sessions/sec, hits/sec, and
-//	                           p50/p99 attach-to-first-hit latency; with
+//	                           p50/max attach-to-first-hit latency; with
 //	                           -json, writes BENCH_mrsd.json.
 //
 // -server routes every monitored table run through a shared monitor.Server
@@ -191,8 +191,8 @@ func run() error {
 		if rep.HitSessions > 0 {
 			fmt.Printf("  hits:  %d sessions, %d hits in %.0f ms = %.0f hits/sec (batched)\n",
 				rep.HitSessions, rep.Hits, rep.HitWallMS, rep.HitsPerSec)
-			fmt.Printf("  attach-to-first-hit latency: p50 %.2f ms, p99 %.2f ms\n",
-				rep.AttachP50MS, rep.AttachP99MS)
+			fmt.Printf("  attach-to-first-hit latency: p50 %.2f ms, max %.2f ms (%d sessions)\n",
+				rep.AttachP50MS, rep.AttachMaxMS, rep.AttachSamples)
 			if rep.BatchSpeedup > 0 {
 				fmt.Printf("  per-hit baseline: %.0f hits/sec → batching speedup %.2fx\n",
 					rep.PerHitHitsPerSec, rep.BatchSpeedup)

@@ -143,3 +143,55 @@ func TestRegionKindAccessor(t *testing.T) {
 		t.Errorf("RegionKind of absent region = %v, want 0", k)
 	}
 }
+
+// TestRegionIndexLookups pins the sorted region index against a linear
+// scan: the covering region of every word around regions created out of
+// address order, adjacent to one another, and after a deletion, plus the
+// exact-bounds lookups.
+func TestRegionIndexLookups(t *testing.T) {
+	_, s := newMachineWithService(t, DefaultConfig)
+	base := machine.DataBase
+	regions := [][2]uint32{{base + 64, 8}, {base, 4}, {base + 32, 16}, {base + 48, 4}, {base + 8, 4}}
+	for _, r := range regions {
+		if err := s.CreateRegionKind(r[0], r[1], KindLoad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(live [][2]uint32) {
+		t.Helper()
+		for w := base - 8; w < base+96; w += 4 {
+			var want [2]uint32
+			for _, r := range live {
+				if w >= r[0] && w < r[0]+r[1] {
+					want = r
+				}
+			}
+			var got [2]uint32
+			if info := s.regionOf(w); info != nil {
+				got = [2]uint32{info.addr, info.size}
+			}
+			if got != want {
+				t.Errorf("regionOf(%#x) = %v, want %v", w, got, want)
+			}
+		}
+		for _, r := range live {
+			if k := s.RegionKind(r[0], r[1]); k != KindLoad {
+				t.Errorf("RegionKind(%#x, %d) = %v", r[0], r[1], k)
+			}
+		}
+	}
+	check(regions)
+	if err := s.CreateRegionKind(base+32, 16, KindStore); err == nil {
+		t.Error("duplicate region accepted")
+	}
+	if err := s.DeleteRegion(base+32, 8); err == nil {
+		t.Error("delete with wrong bounds accepted")
+	}
+	if err := s.DeleteRegion(base+32, 16); err != nil {
+		t.Fatal(err)
+	}
+	if k := s.RegionKind(base+32, 16); k != 0 {
+		t.Errorf("deleted region still has kind %v", k)
+	}
+	check([][2]uint32{regions[0], regions[1], regions[3], regions[4]})
+}

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 
 	"databreak/internal/bitmap"
 	"databreak/internal/machine"
@@ -170,7 +171,10 @@ type Service struct {
 	segAddr   map[uint32]uint32 // segment number -> private segment address
 	counts    map[uint32]uint32 // segment number -> monitored words
 	sumCounts [3]map[uint32]uint32
-	regions   map[[2]uint32]*regionInfo // {addr,size}
+	// regions holds the installed regions sorted by address. They never
+	// overlap, so one binary search finds the region covering a word as
+	// well as the region with given exact bounds.
+	regions []*regionInfo
 	// plainOnly is true while every region is a legacy KindAll region with
 	// no predicate — the common case, where hit delivery needs no region
 	// scan at all.
@@ -211,7 +215,6 @@ func NewService(cfg Config, m *machine.Machine) (*Service, error) {
 		hashArena: HashArenaBase,
 		segAddr:   make(map[uint32]uint32),
 		counts:    make(map[uint32]uint32),
-		regions:   make(map[[2]uint32]*regionInfo),
 		plainOnly: true,
 	}
 	for i := range s.sumCounts {
@@ -302,14 +305,36 @@ func (s *Service) readHit(addr uint32, size int32) {
 }
 
 // regionOf returns the installed region covering the word at w, or nil.
-// Linear scan: regions are few and non-overlapping.
 func (s *Service) regionOf(w uint32) *regionInfo {
-	for _, info := range s.regions {
-		if w >= info.addr && w < info.addr+info.size {
+	if i := s.upper(w); i > 0 {
+		if info := s.regions[i-1]; w < info.addr+info.size {
 			return info
 		}
 	}
 	return nil
+}
+
+// upper returns how many installed regions start at or below addr.
+func (s *Service) upper(addr uint32) int {
+	lo, hi := 0, len(s.regions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.regions[m].addr <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// exact returns the index of the region created with exactly these bounds,
+// or -1.
+func (s *Service) exact(addr, size uint32) int {
+	if i := s.upper(addr) - 1; i >= 0 && s.regions[i].addr == addr && s.regions[i].size == size {
+		return i
+	}
+	return -1
 }
 
 // Config returns the service geometry.
@@ -475,7 +500,7 @@ func (s *Service) createRegion(info *regionInfo) error {
 	if err := s.checkRegion(addr, size); err != nil {
 		return err
 	}
-	if _, dup := s.regions[[2]uint32{addr, size}]; dup {
+	if s.exact(addr, size) >= 0 {
 		return fmt.Errorf("monitor: region [%#x,+%d) already monitored", addr, size)
 	}
 	for o := uint32(0); o < size; o += 4 {
@@ -497,7 +522,7 @@ func (s *Service) createRegion(info *regionInfo) error {
 	}
 	s.adjustSummaries(addr, size, +1)
 	s.hashInsert(addr, size)
-	s.regions[[2]uint32{addr, size}] = info
+	s.regions = slices.Insert(s.regions, s.upper(addr), info)
 	if info.kind != KindAll || info.pred != nil {
 		s.plainOnly = false
 	}
@@ -557,7 +582,8 @@ func (s *Service) hashRemove(addr, size uint32) {
 
 // DeleteRegion removes a region previously created with these exact bounds.
 func (s *Service) DeleteRegion(addr, size uint32) error {
-	if _, ok := s.regions[[2]uint32{addr, size}]; !ok {
+	i := s.exact(addr, size)
+	if i < 0 {
 		return fmt.Errorf("monitor: region [%#x,+%d) is not monitored", addr, size)
 	}
 	for o := uint32(0); o < size; o += 4 {
@@ -573,7 +599,7 @@ func (s *Service) DeleteRegion(addr, size uint32) error {
 	}
 	s.adjustSummaries(addr, size, -1)
 	s.hashRemove(addr, size)
-	delete(s.regions, [2]uint32{addr, size})
+	s.regions = slices.Delete(s.regions, i, i+1)
 	s.plainOnly = true
 	for _, info := range s.regions {
 		if info.kind != KindAll || info.pred != nil {
@@ -588,8 +614,8 @@ func (s *Service) DeleteRegion(addr, size uint32) error {
 // RegionKind returns the delivery kind of the region created with exactly
 // these bounds, or 0 if none is installed.
 func (s *Service) RegionKind(addr, size uint32) Kind {
-	if info, ok := s.regions[[2]uint32{addr, size}]; ok {
-		return info.kind
+	if i := s.exact(addr, size); i >= 0 {
+		return s.regions[i].kind
 	}
 	return 0
 }

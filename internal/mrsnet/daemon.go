@@ -445,6 +445,7 @@ func (cn *conn) writeLoop() {
 	defer cn.close()
 	var (
 		pending []HitRec
+		hitBuf  []byte // the hit codec's frame buffer, reused across frames
 		timer   *time.Timer
 		timerC  <-chan time.Time
 	)
@@ -459,7 +460,8 @@ func (cn *conn) writeLoop() {
 		if len(pending) == 0 {
 			return true
 		}
-		err := writeMsg(cn.nc, &Msg{Op: OpHits, Hits: pending})
+		var err error
+		hitBuf, err = writeHits(cn.nc, hitBuf, pending)
 		pending = pending[:0]
 		stopTimer()
 		return err == nil

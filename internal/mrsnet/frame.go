@@ -9,6 +9,15 @@
 // JSON object. Dumb framing is what makes the codec provable: ReadFrame can
 // be fuzzed against arbitrary byte streams (truncated, oversized, garbage)
 // and must return an error, never panic and never over-read.
+//
+// Hit batches, the one high-volume message, skip reflection: a hand-written
+// codec (hits.go) writes OpHits frames byte-identical to encoding/json's,
+// so old and new peers interoperate. Which path runs is decided by the
+// input's shape, not by any setting. The decoder takes only the canonical
+// hits shape and declines everything else to json.Unmarshal, which stays
+// both the fallback and the reference for what a payload means; the
+// encoder hands a batch to json.Marshal when any SID needs escaping. Control
+// frames always use encoding/json.
 package mrsnet
 
 import (
@@ -26,22 +35,27 @@ const MaxFrame = 1 << 20
 // frameHdrLen is the length prefix size.
 const frameHdrLen = 4
 
-// WriteFrame writes one frame: a 4-byte big-endian length then the payload.
-// Payloads must be non-empty (a frame always carries a JSON object) and at
-// most MaxFrame bytes.
+// WriteFrame writes one frame: a 4-byte big-endian length then the payload,
+// in a single Write. Payloads must be non-empty (a frame always carries a
+// JSON object) and at most MaxFrame bytes.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
+	frame := make([]byte, frameHdrLen, frameHdrLen+len(payload))
+	return writeFramed(w, append(frame, payload...))
+}
+
+// writeFramed fills in the length prefix of frame, whose first frameHdrLen
+// bytes are reserved for it, and writes the whole frame with one Write: one
+// net.Pipe hand-off or one TCP segment per frame, not two.
+func writeFramed(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHdrLen
+	if n == 0 {
 		return fmt.Errorf("mrsnet: empty frame payload")
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("mrsnet: frame payload %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
+	if n > MaxFrame {
+		return fmt.Errorf("mrsnet: frame payload %d bytes exceeds MaxFrame %d", n, MaxFrame)
 	}
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -90,12 +104,29 @@ func writeMsg(w io.Writer, m *Msg) error {
 	return WriteFrame(w, payload)
 }
 
-// readMsg reads one frame and unmarshals it into m (zeroed first). Garbage
-// payloads — non-JSON bytes, wrong JSON shape — are errors, never panics.
+// writeHits writes one OpHits frame carrying batch, encoded in buf's storage
+// by the hit codec, and returns the buffer for the next frame. A batch with
+// a SID that needs escaping goes through writeMsg instead.
+func writeHits(w io.Writer, buf []byte, batch []HitRec) ([]byte, error) {
+	frame, ok := appendHits(append(buf[:0], make([]byte, frameHdrLen)...), batch)
+	if !ok {
+		return frame, writeMsg(w, &Msg{Op: OpHits, Hits: batch})
+	}
+	return frame, writeFramed(w, frame)
+}
+
+// readMsg reads one frame and decodes it into m (zeroed first): a canonical
+// hits frame through the hit codec, anything else through json.Unmarshal.
+// Garbage payloads — non-JSON bytes, wrong JSON shape — are errors, never
+// panics.
 func readMsg(r io.Reader, buf []byte, m *Msg) ([]byte, error) {
 	buf, err := ReadFrame(r, buf)
 	if err != nil {
 		return buf, err
+	}
+	if hits, ok := decodeHits(buf); ok {
+		*m = Msg{Op: OpHits, Hits: hits}
+		return buf, nil
 	}
 	*m = Msg{}
 	if err := json.Unmarshal(buf, m); err != nil {

@@ -53,6 +53,9 @@ func FuzzFrameDecode(f *testing.F) {
 	var framed bytes.Buffer
 	WriteFrame(&framed, ok)
 	f.Add(framed.Bytes())
+	var hits bytes.Buffer
+	WriteFrame(&hits, []byte(`{"op":"hits","hits":[{"sid":"s1","addr":536870912,"size":4,"pc":12,"instrs":99},{"sid":"s1","addr":536870916,"size":4,"read":true,"pc":16,"instrs":100,"old":1,"new":2}]}`))
+	f.Add(hits.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var m Msg
