@@ -56,9 +56,7 @@ func main() {
 
 func run() error {
 	table := flag.String("table", "all", "which table to regenerate: 1, 2, fig3, strategies, breakeven, ablation, kinds, all")
-	engine := flag.String("engine", "trace", "execution engine for every run: step, block, trace, or closure (counts are engine-independent)")
-	hotThreshold := flag.Int("hot-threshold", 0, "dispatches before a block head compiles a trace (0 = machine default 64)")
-	brProfMin := flag.Int("brprof-min", 0, "branch-site executions before the edge profile beats static prediction (0 = machine default 8)")
+	engine := flag.String("engine", "trace", "execution engine for every run: step, block, or trace (counts are engine-independent)")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	only := flag.String("program", "", "run a single benchmark by name")
 	workers := flag.Int("workers", 0, "benchmark cells run concurrently (0 = one per CPU)")
@@ -114,8 +112,6 @@ func run() error {
 		return err
 	}
 	cfg.Engine = eng
-	cfg.HotThreshold = *hotThreshold
-	cfg.BrProfMin = *brProfMin
 	cfg.Scale = *scale
 	cfg.Workers = *workers
 	if cfg.Workers <= 0 {

@@ -50,7 +50,7 @@ func HostPerf(cfg Config, runs int) ([]HostPerfRow, error) {
 		return nil, err
 	}
 
-	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineTrace, machine.EngineClosure}
+	engines := []machine.Engine{machine.EngineStep, machine.EngineBlock, machine.EngineTrace}
 	rows := make([]HostPerfRow, len(engines))
 	times := make([][]time.Duration, len(engines))
 	for i, e := range engines {
@@ -65,12 +65,6 @@ func HostPerf(cfg Config, runs int) ([]HostPerfRow, error) {
 			start := time.Now()
 			m := machine.New(cfg.Cache, cfg.Costs)
 			m.SetEngine(e)
-			if cfg.HotThreshold > 0 {
-				m.SetHotThreshold(cfg.HotThreshold)
-			}
-			if cfg.BrProfMin > 0 {
-				m.SetBrProfMin(cfg.BrProfMin)
-			}
 			prog.LoadShared(m)
 			if _, err := m.Run(); err != nil {
 				return nil, fmt.Errorf("hostperf %s: %w", e, err)

@@ -81,7 +81,7 @@ func BenchmarkRunWorkload(b *testing.B) {
 	// benchmark doubles as a cheap determinism check: the optimization
 	// invariant is that host time may change but these may not.
 	var wantCycles, wantInstrs int64
-	for _, e := range []machine.Engine{machine.EngineClosure, machine.EngineTrace, machine.EngineBlock, machine.EngineStep} {
+	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineBlock, machine.EngineStep} {
 		b.Run(e.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

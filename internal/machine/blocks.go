@@ -347,35 +347,20 @@ dispatch:
 		// EngineBlock. A compiled trace is entered only when a full pass fits
 		// in the remaining budget — otherwise the block path below clamps the
 		// tail bit-exactly. Heads without a trace bump their hotness counter
-		// (private text only; image traces were compiled eagerly).
+		// (private text only; image traces were compiled eagerly), and the
+		// dispatch that compiles a trace already enters it.
 		if ts := m.traces; ts != nil {
-			if tr := ts[pc]; tr != nil {
-				if cs := m.cls; cs != nil {
-					// Closure tier (closure.go): thread the trace on first
-					// dispatch, then run the threaded form.
-					cp := cs[pc]
-					if cp == nil {
-						cp = m.compileClosures(tr)
-						cs[pc] = cp
-					}
-					if m.MaxInstrs-m.instrs >= cp.passInstrs {
-						var err error
-						curILine, curDLine, ihits, err = m.execClosures(cp, shift, imask, curILine, curDLine, ihits)
-						if err != nil {
-							return err
-						}
-						continue
-					}
-				} else if m.MaxInstrs-m.instrs >= tr.passInstrs {
-					var err error
-					curILine, curDLine, ihits, err = m.execTrace(tr, shift, imask, curILine, curDLine, ihits)
-					if err != nil {
-						return err
-					}
-					continue
+			tr := ts[pc]
+			if tr == nil && m.hot != nil {
+				tr = m.noteHot(pc)
+			}
+			if tr != nil && m.MaxInstrs-m.instrs >= tr.passInstrs {
+				var err error
+				curILine, curDLine, ihits, err = m.execTrace(tr, shift, imask, curILine, curDLine, ihits)
+				if err != nil {
+					return err
 				}
-			} else if m.hot != nil {
-				m.noteHot(pc)
+				continue
 			}
 		}
 		// Clamp to the MaxInstrs budget; the instrs check above guarantees

@@ -72,18 +72,23 @@ func diffStates(t *testing.T, ctx string, a, b *Machine, errA, errB error) {
 }
 
 // diffRun loads text into two fresh machines and executes one via Step and
-// one via Run, then compares every observable.
-func diffRun(t *testing.T, ctx string, text []sparc.Instr) {
+// one via Run on the trace engine, then compares every observable. The Run
+// side compiles a trace at a head's first dispatch (hot threshold 1):
+// forward-only programs never dispatch a head twice, so at the default
+// threshold they would never leave the block tier. It returns the Run side.
+func diffRun(t *testing.T, ctx string, text []sparc.Instr) *Machine {
 	t.Helper()
 	a := New(cache.DefaultConfig, DefaultCosts)
 	b := New(cache.DefaultConfig, DefaultCosts)
 	a.SetCounterCount(4)
 	b.SetCounterCount(4)
+	b.hotThreshold = 1
 	a.LoadText(text, 0)
 	b.LoadText(text, 0)
 	errA := stepAll(a)
 	_, errB := b.Run()
 	diffStates(t, ctx, a, b, errA, errB)
+	return b
 }
 
 // randText generates a terminating program: straight-line ALU, memory, and
@@ -173,20 +178,76 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		text := randText(r, 80+r.Intn(400))
-		diffRun(t, "seed "+string(rune('0'+seed%10))+"/len", text)
+		ctx := "seed " + string(rune('0'+seed%10)) + "/len"
+		b := diffRun(t, ctx, text)
+		compiled := 0
+		for _, tr := range b.traces {
+			if tr != nil {
+				compiled++
+			}
+		}
+		if compiled == 0 {
+			t.Fatalf("%s: the trace engine compiled no trace, so the differential never ran one", ctx)
+		}
+	}
+}
+
+// faultCase is one faulting program of a fault differential.
+type faultCase struct {
+	name string
+	text []sparc.Instr
+}
+
+// loopFaultCases are programs that fault from inside a loop, after its head
+// has been dispatched often enough to run as a compiled trace.
+func loopFaultCases() []faultCase {
+	base := sparc.Instr{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true}
+	textAlign := sparc.Instr{Op: sparc.Sethi, Rd: sparc.G1, Imm: int32(TextBase >> 10), UseImm: true}
+	return []faultCase{
+		{"unaligned load in loop", []sparc.Instr{
+			base,
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 50, sparc.G0),
+			sparc.Branch(sparc.BL, 1),
+			sparc.RI(sparc.Add, sparc.L0, 2, sparc.L1),
+			{Op: sparc.Ld, Rd: sparc.O0, Rs1: sparc.L1, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"division by zero in loop", []sparc.Instr{
+			sparc.RI(sparc.Or, sparc.G0, 40, sparc.O2),
+			sparc.RI(sparc.Sub, sparc.O2, 1, sparc.O2),
+			sparc.RR(sparc.SDiv, sparc.O2, sparc.O2, sparc.O3),
+			sparc.RI(sparc.Subcc, sparc.O2, 0, sparc.G0),
+			sparc.Branch(sparc.BG, 1),
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"window underflow in loop", []sparc.Instr{
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 30, sparc.G0),
+			sparc.Branch(sparc.BL, 0),
+			{Op: sparc.Restore, Rd: sparc.G0, Rs1: sparc.G0, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
+		{"jmpl bad target in loop", []sparc.Instr{
+			textAlign,
+			sparc.RI(sparc.Add, sparc.O1, 1, sparc.O1),
+			sparc.RI(sparc.Subcc, sparc.O1, 30, sparc.G0),
+			sparc.Branch(sparc.BL, 1),
+			sparc.RI(sparc.Add, sparc.G1, 2, sparc.G1),
+			{Op: sparc.Jmpl, Rd: sparc.G0, Rs1: sparc.G1, UseImm: true},
+			{Op: sparc.Ta, Imm: TrapExit, UseImm: true},
+		}},
 	}
 }
 
 // TestDifferentialFaults checks that both paths fault identically: same
 // error text, same pc, and — because the block engine pre-charges nothing —
-// same cycle and instruction counts at the fault.
+// same cycle and instruction counts at the fault. The "in loop" cases loop
+// long enough for the fault to fire from inside an already compiled trace.
 func TestDifferentialFaults(t *testing.T) {
 	base := sparc.Instr{Op: sparc.Sethi, Rd: sparc.L0, Imm: int32(DataBase >> 10), UseImm: true}
 	textAlign := sparc.Instr{Op: sparc.Sethi, Rd: sparc.G1, Imm: int32(TextBase >> 10), UseImm: true}
-	cases := []struct {
-		name string
-		text []sparc.Instr
-	}{
+	cases := []faultCase{
 		{"unaligned load", []sparc.Instr{
 			base,
 			sparc.RI(sparc.Add, sparc.L0, 2, sparc.L1),
@@ -238,6 +299,7 @@ func TestDifferentialFaults(t *testing.T) {
 			sparc.RI(sparc.Add, sparc.O0, 1, sparc.O0),
 		}},
 	}
+	cases = append(cases, loopFaultCases()...)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { diffRun(t, c.name, c.text) })
 	}
@@ -262,9 +324,11 @@ func TestDifferentialPatchMidRun(t *testing.T) {
 	}
 	patched := sparc.RI(sparc.Add, sparc.O1, 3, sparc.O1)
 
+	// Each machine owns its copy: LoadText aliases the slice, so a shared
+	// one would hand the first machine's patch to the second from the start.
 	mk := func() (*Machine, *int) {
 		m := New(cache.DefaultConfig, DefaultCosts)
-		m.LoadText(text, 0)
+		m.LoadText(append([]sparc.Instr(nil), text...), 0)
 		stores := 0
 		m.StoreHook = func(addr uint32, size int32) int64 {
 			stores++

@@ -19,7 +19,6 @@
 package machine
 
 import (
-	"sync"
 	"unsafe"
 
 	"databreak/internal/sparc"
@@ -42,19 +41,6 @@ type Image struct {
 	// their own traces instead (syncTraceState).
 	traces     []*traceProg
 	traceShift uint32
-	// cls caches the closure tier's shared threaded form of the traces
-	// above, keyed by the cost model the item streams bake in. BuildImage
-	// cannot compile it (there is no machine, hence no cost model, at build
-	// time), so the first closure-engine attach per cost model pays the
-	// threading cost and every later attach reuses the published slice.
-	// Published slices and their closProgs are immutable, exactly like
-	// traces: the lazy-compile paths in exitNext and the block dispatcher
-	// only fill nil slots, and a shared slice has a non-nil slot wherever
-	// traces does, so those paths never write to it. Deliberately NOT part
-	// of SizeBytes: retained-bytes accounting must not depend on which
-	// engine has run (the benchmark reports diff it across engines).
-	clsMu sync.Mutex
-	cls   map[Costs][]*closProg
 }
 
 // BuildImage decodes text into a shareable image with the given entry point
@@ -102,29 +88,6 @@ func (img *Image) TraceBytes() int {
 		}
 	}
 	return n
-}
-
-// sharedClosures returns the image's shared closure tier for m's cost
-// model, threading every compiled trace eagerly on the first request per
-// model (the per-model map stays tiny: one entry per distinct Costs that
-// ever attaches a closure-engine machine to this image).
-func (img *Image) sharedClosures(m *Machine) []*closProg {
-	img.clsMu.Lock()
-	defer img.clsMu.Unlock()
-	cls, ok := img.cls[m.costs]
-	if !ok {
-		cls = make([]*closProg, len(img.text))
-		for i, tr := range img.traces {
-			if tr != nil {
-				cls[i] = m.compileClosures(tr)
-			}
-		}
-		if img.cls == nil {
-			img.cls = make(map[Costs][]*closProg, 1)
-		}
-		img.cls[m.costs] = cls
-	}
-	return cls
 }
 
 // buildUops decodes text into its block index, reusing buf's capacity when

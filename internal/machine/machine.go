@@ -129,16 +129,6 @@ type Machine struct {
 	// and under non-trace engines.
 	engine Engine
 	traces []*traceProg
-	// cls is the closure tier (closure.go): cls[i], when non-nil, is the
-	// threaded-closure compilation of traces[i]. Always per machine — the
-	// closures capture this machine's register file and per-site page
-	// memos — and non-nil exactly when EngineClosure is active over
-	// non-empty text. Filled lazily on first dispatch of a traced head.
-	cls []*closProg
-	// cstate is execClosures' reusable spill area (closure.go): dispatching
-	// a compiled closure chain must not allocate, and the pointer handed to
-	// the closures would otherwise force a fresh heap cst per dispatch.
-	cstate cst
 	hot    []uint16
 	// brProf is the per-branch-site edge profile driving trace compilation
 	// for private text: low 16 bits count executions, high 16 taken, both
@@ -147,10 +137,10 @@ type Machine struct {
 	// measured bias instead of static guesses. nil on shared images and
 	// under non-trace engines.
 	brProf []uint32
-	// hotThreshold/brProfMin are the trace-tier tuning knobs (trace.go
-	// consts hold the defaults; SetHotThreshold/SetBrProfMin override).
+	// hotThreshold is the per-head dispatch count that triggers lazy trace
+	// compilation (trace.go const, always the default outside package
+	// tests, which lower it to force compilation).
 	hotThreshold uint16
-	brProfMin    uint32
 	pc           int32
 	// regs is the architecturally visible register file of the CURRENT
 	// window, flat: %g0-%g7, %o0-%o7, %l0-%l7, %i0-%i7, plus one scratch
@@ -207,7 +197,7 @@ type Machine struct {
 	// mirror of StoreHook — the hardware-watchpoint baseline for read
 	// watchpoints uses it — and it obeys the same contract in every engine:
 	// the hook fires BEFORE the load's data access, observes exact simulated
-	// counts, and may patch text (the block/trace/closure engines exit the
+	// counts, and may patch text (the block and trace engines exit the
 	// compiled region cleanly when it does).
 	LoadHook func(addr uint32, size int32) int64
 
@@ -245,7 +235,6 @@ func New(cfg cache.Config, costs Costs) *Machine {
 		freeList:     make(map[uint32][]uint32),
 		MaxInstrs:    4_000_000_000,
 		hotThreshold: hotThreshold,
-		brProfMin:    brProfMin,
 	}
 	for i := range m.pageCache {
 		m.pageCache[i].base = 1 // never matches a page-aligned base
@@ -884,8 +873,8 @@ func (m *Machine) alloc(size uint32) uint32 {
 // Under the default trace engine it dispatches a block at a time (blocks.go)
 // and enters compiled traces at hot heads (trace.go); EngineBlock skips the
 // trace tier; EngineStep runs the reference one-instruction loop. Simulated
-// cycle and instruction counts are bit-identical across all three; only host
-// time changes.
+// cycle and instruction counts are bit-identical to EngineStep's under every
+// engine; only host time changes.
 func (m *Machine) Run() (int32, error) {
 	if m.engine == EngineStep {
 		return m.runStep()

@@ -63,9 +63,6 @@ const (
 	// EngineStep executes one instruction at a time through Step — the
 	// reference semantics the other engines are measured against.
 	EngineStep
-	// EngineClosure compiles each trace into threaded Go closures
-	// (closure.go): same traces, same accounting, no per-op switch.
-	EngineClosure
 )
 
 func (e Engine) String() string {
@@ -76,14 +73,12 @@ func (e Engine) String() string {
 		return "block"
 	case EngineStep:
 		return "step"
-	case EngineClosure:
-		return "closure"
 	}
 	return fmt.Sprintf("engine?%d", uint8(e))
 }
 
-// ParseEngine converts a flag value ("step", "block", "trace", "closure") to
-// an Engine.
+// ParseEngine converts a flag value ("step", "block", "trace") to an
+// Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "trace":
@@ -92,10 +87,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineBlock, nil
 	case "step":
 		return EngineStep, nil
-	case "closure":
-		return EngineClosure, nil
 	}
-	return EngineTrace, fmt.Errorf("machine: unknown engine %q (want step, block, trace, or closure)", s)
+	return EngineTrace, fmt.Errorf("machine: unknown engine %q (want step, block, or trace)", s)
 }
 
 // SetEngine selects the execution engine. Safe at any point the machine is
@@ -113,32 +106,10 @@ func (m *Machine) Engine() Engine { return m.engine }
 // before LoadText text compiles a trace for it. Image text skips the counter
 // entirely (BuildImage compiles eagerly). 64 is low enough that every loop
 // that matters compiles within noise, high enough that straight-through
-// startup code never pays compilation. Tunable per machine via
-// SetHotThreshold (the EXPERIMENTS.md sweep confirms 64 as the default).
+// startup code never pays compilation (the EXPERIMENTS.md sweep measured a
+// flat plateau from 4 to 256). Package tests lower Machine.hotThreshold to 1
+// to force compilation of short programs.
 const hotThreshold = 64
-
-// SetHotThreshold overrides the per-head dispatch count that triggers lazy
-// trace compilation of private text (default 64). Clamped to [1, 65534];
-// values already counted keep their progress. Image text is unaffected
-// (compiled eagerly at BuildImage).
-func (m *Machine) SetHotThreshold(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > int(hotNever)-1 {
-		n = int(hotNever) - 1
-	}
-	m.hotThreshold = uint16(n)
-}
-
-// SetBrProfMin overrides the branch-site execution count below which the
-// edge profile is ignored in favor of static prediction (default 8).
-func (m *Machine) SetBrProfMin(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.brProfMin = uint32(n)
-}
 
 // hotNever marks a head whose compilation was attempted and declined
 // (trivial trace); it is never retried.
@@ -267,10 +238,6 @@ const (
 	tLdSubSt
 	tLdOrSt
 
-	// topOpEnd is one past the last real trace-op; closure.go's synthetic
-	// item kinds start here.
-	topOpEnd
-
 	// topCount is or-ed into op when the instruction carries an event
 	// counter; the interpreter's default case bumps the counter, strips the
 	// flag, and re-dispatches (same trick as blocks.go opCount). Fused ops
@@ -317,10 +284,9 @@ type top struct {
 // traces may be shared across machines (Image) and read while another
 // machine invalidates its own slice entries.
 type traceProg struct {
-	entry      int32  // head text index the trace is registered under
-	exitPC     int32  // pc installed when a pass runs off the tail
-	shift      uint32 // I-line shift the nl bits were computed under
-	passInstrs int64  // simulated instructions one full pass retires
+	entry      int32 // head text index the trace is registered under
+	exitPC     int32 // pc installed when a pass runs off the tail
+	passInstrs int64 // simulated instructions one full pass retires
 	ops        []top
 	// spans are the sorted, disjoint [lo,hi) text-index ranges the trace
 	// consumed; PatchInstr invalidates any trace whose span covers the
@@ -341,17 +307,14 @@ func (tr *traceProg) covers(idx int32) bool {
 // syncTraceState (re)establishes the engine-dependent trace state after any
 // event that changes what the dispatcher may execute: engine selection, text
 // installation, or COW privatization. Invariant: m.traces is non-nil exactly
-// when the trace (or closure) engine is active over non-empty text, so
-// execBlocks gates the whole tier on one nil check; m.cls is non-nil exactly
-// when the closure engine is active over non-empty text.
+// when the trace engine is active over non-empty text, so execBlocks gates
+// the whole tier on one nil check.
 func (m *Machine) syncTraceState() {
-	traced := m.engine == EngineTrace || m.engine == EngineClosure
-	if !traced || len(m.text) == 0 {
-		m.traces, m.hot, m.brProf, m.cls = nil, nil, nil, nil
+	if m.engine != EngineTrace || len(m.text) == 0 {
+		m.traces, m.hot, m.brProf = nil, nil, nil
 		return
 	}
-	shared := m.imgShared && m.img.traceShift == m.cache.LineShift()
-	if shared {
+	if m.imgShared && m.img.traceShift == m.cache.LineShift() {
 		// Shared image with matching cache geometry: the immutable, eagerly
 		// compiled traces. No hotness counters or edge profile — there is
 		// nothing left to compile.
@@ -366,39 +329,27 @@ func (m *Machine) syncTraceState() {
 		m.hot = make([]uint16, len(m.text))
 		m.brProf = make([]uint32, len(m.text))
 	}
-	if m.engine == EngineClosure {
-		// The threaded form is machine-independent data — items bake in only
-		// the trace stream and the cost model — so machines attached to a
-		// shared image share one compiled closure tier per cost model
-		// (image.go). Private text threads its own, lazily, as traces
-		// appear.
-		if shared {
-			m.cls = m.img.sharedClosures(m)
-		} else {
-			m.cls = make([]*closProg, len(m.text))
-		}
-	} else {
-		m.cls = nil
-	}
 }
 
 // noteHot counts a dispatch of private-text head pc and compiles a trace
-// once the head crosses hotThreshold. Called from the dispatcher only when
-// m.hot is non-nil and m.traces[pc] is nil.
-func (m *Machine) noteHot(pc int32) {
+// once the head crosses hotThreshold, returning it (nil while the head is
+// still cold or when compilation is declined). Called from the dispatcher
+// only when m.hot is non-nil and m.traces[pc] is nil.
+func (m *Machine) noteHot(pc int32) *traceProg {
 	h := m.hot[pc]
 	switch {
 	case h >= m.hotThreshold: // hotNever: compilation declined, don't retry
 	case h+1 >= m.hotThreshold:
-		if tr := compileTrace(m.text, m.uops, pc, m.brProf, m.brProfMin, m.cache.LineShift()); tr != nil {
+		if tr := compileTrace(m.text, m.uops, pc, m.brProf, brProfMin, m.cache.LineShift()); tr != nil {
 			m.traces[pc] = tr
 			m.hot[pc] = 0
-		} else {
-			m.hot[pc] = hotNever
+			return tr
 		}
+		m.hot[pc] = hotNever
 	default:
 		m.hot[pc] = h + 1
 	}
+	return nil
 }
 
 // invalidateTraces drops every private trace whose consumed spans cover the
@@ -409,11 +360,6 @@ func (m *Machine) invalidateTraces(idx int32) {
 	for i, tr := range m.traces {
 		if tr != nil && tr.covers(idx) {
 			m.traces[i] = nil
-			if m.cls != nil {
-				// The closure tier compiles FROM traces, so a dropped trace
-				// drops its threaded form too (closure.go).
-				m.cls[i] = nil
-			}
 		}
 	}
 }
@@ -598,7 +544,7 @@ func isTraceTerminator(op sparc.Op) bool {
 
 // FusionPlan applies the trace builder's fusion rules to one dynamically
 // consecutive instruction run and returns the width in instructions (1, 2, or
-// 3) of each dispatch item the trace and closure tiers would retire for it.
+// 3) of each dispatch item the trace tier would retire for it.
 // Interior fusion windows are bounded at terminators exactly as compileTrace
 // bounds them at block ends, and a conditional branch fuses with an
 // immediately preceding uncounted subcc (tCmpBr*). The mrsbench -trace-stats
@@ -632,7 +578,6 @@ func FusionPlan(run []sparc.Instr) []int8 {
 
 // brProfMin is the default execution count below which a branch site's edge
 // profile is considered noise and the static heuristics decide instead.
-// Tunable per machine via SetBrProfMin.
 const brProfMin = 8
 
 // predictBranch predicts a conditional branch for trace stitching. The edge
@@ -980,7 +925,6 @@ scan:
 	return &traceProg{
 		entry:      entry,
 		exitPC:     exitPC,
-		shift:      shift,
 		passInstrs: int64(ni),
 		ops:        ops,
 		spans:      spansOf(consumed),
@@ -2527,15 +2471,17 @@ chain:
 
 				case tJmpl:
 					dest := uint32(m.regs[u.rs1] + m.regs[u.s2r] + u.imm)
-					idx := int32((dest - TextBase) / 4)
-					if dest < TextBase || dest&3 != 0 || int(idx) >= len(m.uops) {
-						// Bad target: exit before the jmpl, Step replays it
-						// and raises the fault (committing the rd write
-						// first, exactly as the block engine's bail does).
-						m.traceExit(int32((u.iaddr-TextBase)/4), int64(u.ni), cyc, base)
-						return curILine, curDLine, ihits, nil
-					}
+					// Bad target: fault here, after the rd write, exactly as
+					// Step does. Exiting before the jmpl for Step to replay
+					// would fetch it twice.
 					m.regs[u.rd] = int32(u.iaddr) + 4
+					if dest < TextBase || dest&3 != 0 {
+						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "indirect jump to bad address %#x", dest)
+					}
+					idx := int32((dest - TextBase) / 4)
+					if int(idx) >= len(m.uops) {
+						return curILine, curDLine, 0, m.traceFault(u, cyc, base, ihits, "indirect jump outside text %#x", dest)
+					}
 					cyc += m.costs.TakenBranch
 					npc, width = idx, int64(u.ni)+1
 					goto exit

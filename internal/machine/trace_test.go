@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"databreak/internal/cache"
@@ -80,12 +81,12 @@ func TestImageTracesSurviveSiblingPatch(t *testing.T) {
 }
 
 // TestEngineSelection pins the engine flag surface: parsing, String, and
-// that all four engines produce identical counts on the same program.
+// that all three engines produce identical counts on the same program.
 func TestEngineSelection(t *testing.T) {
 	for _, c := range []struct {
 		s string
 		e Engine
-	}{{"step", EngineStep}, {"block", EngineBlock}, {"trace", EngineTrace}, {"closure", EngineClosure}} {
+	}{{"step", EngineStep}, {"block", EngineBlock}, {"trace", EngineTrace}} {
 		e, err := ParseEngine(c.s)
 		if err != nil || e != c.e {
 			t.Fatalf("ParseEngine(%q) = %v, %v", c.s, e, err)
@@ -94,13 +95,16 @@ func TestEngineSelection(t *testing.T) {
 			t.Fatalf("Engine(%v).String() = %q, want %q", e, e.String(), c.s)
 		}
 	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
+	for _, s := range []string{"jit", "closure"} {
+		_, err := ParseEngine(s)
+		if err == nil || !strings.Contains(err.Error(), "want step, block, or trace") {
+			t.Fatalf("ParseEngine(%q) err = %v, want the step, block, or trace refusal", s, err)
+		}
 	}
 
 	text := countLoop()
 	var ref *Machine
-	for _, e := range []Engine{EngineStep, EngineBlock, EngineTrace, EngineClosure} {
+	for _, e := range []Engine{EngineStep, EngineBlock, EngineTrace} {
 		m := New(cache.DefaultConfig, DefaultCosts)
 		m.SetEngine(e)
 		m.LoadText(text, 0)

@@ -13,12 +13,12 @@ import (
 // compiled — a fault in a specific slot, a text patch landed by the triple's
 // own hooked store, a monitored load clobbering its address register — and
 // demands bit-identical state, counts, fault pc, and error text against a
-// pure-Step reference on BOTH compiled tiers (trace interpreter and closure
-// item stream). Every case first asserts, via the builder's own FusionPlan,
-// that the hazard instruction really sits inside a width-3 item; otherwise a
-// builder change could silently turn these into plain single-op tests.
+// pure-Step reference on the block and trace engines. Every case first
+// asserts, via the builder's own FusionPlan, that the hazard instruction
+// really sits inside a width-3 item; otherwise a builder change could
+// silently turn these into plain single-op tests.
 
-// diffRunBoth runs text against Step on the trace and closure engines with
+// diffRunBoth runs text against Step on the block and trace engines with
 // an immediate hot threshold, applying setup (hooks) to every machine. Each
 // machine loads its OWN copy of the text: LoadText aliases the caller's
 // slice and PatchInstr writes through it, so the patch tests would otherwise
@@ -26,11 +26,11 @@ import (
 func diffRunBoth(t *testing.T, ctx string, text []sparc.Instr, setup func(*Machine)) {
 	t.Helper()
 	clone := func() []sparc.Instr { return append([]sparc.Instr(nil), text...) }
-	for _, e := range []Engine{EngineTrace, EngineClosure} {
+	for _, e := range []Engine{EngineBlock, EngineTrace} {
 		a := New(cache.DefaultConfig, DefaultCosts)
 		b := New(cache.DefaultConfig, DefaultCosts)
 		b.SetEngine(e)
-		b.SetHotThreshold(1)
+		b.hotThreshold = 1
 		if setup != nil {
 			setup(a)
 			setup(b)
