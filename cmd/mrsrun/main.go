@@ -195,7 +195,7 @@ func main() {
 	fmt.Print(m.Output())
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "mrsrun: exit=%d instrs=%d cycles=%d hits=%d\n",
-			code, m.Instrs(), m.Cycles(), len(svc.Hits))
+			code, m.Instrs(), m.Cycles(), svc.HitCount)
 	}
 	os.Exit(int(code))
 }

@@ -108,5 +108,5 @@ func main() {
 	}
 	fmt.Printf("program exited %d after %d instructions; %d hits "+
 		"(including the aliased write), other fields untouched by the watch\n",
-		code, m.Instrs(), len(svc.Hits))
+		code, m.Instrs(), svc.HitCount)
 }

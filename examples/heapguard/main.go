@@ -106,5 +106,5 @@ func main() {
 		watchNext = watchNext[:0]
 	}
 	fmt.Printf("done: %d headers guarded, %d corruptions detected, exit=%d\n",
-		guarded, len(svc.Hits), m.ExitCode())
+		guarded, svc.HitCount, m.ExitCode())
 }

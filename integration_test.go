@@ -52,6 +52,8 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hits []monitor.Hit
+	svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 	sym, ok := prog.LookupSym("cell", "")
 	if !ok {
 		t.Fatal("no symbol cell")
@@ -63,8 +65,8 @@ int main() {
 			t.Fatal(err)
 		}
 	}
-	if len(svc.Hits) != 0 {
-		t.Fatalf("hits before creation: %d", len(svc.Hits))
+	if len(hits) != 0 {
+		t.Fatalf("hits before creation: %d", len(hits))
 	}
 
 	// Phase 2: create the breakpoint mid-run; the next writes must hit.
@@ -76,7 +78,7 @@ int main() {
 			t.Fatal(err)
 		}
 	}
-	mid := len(svc.Hits)
+	mid := len(hits)
 	if mid == 0 {
 		t.Fatal("no hits while the region was live")
 	}
@@ -88,14 +90,14 @@ int main() {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(svc.Hits) != mid {
-		t.Fatalf("hits after deletion grew: %d -> %d", mid, len(svc.Hits))
+	if len(hits) != mid {
+		t.Fatalf("hits after deletion grew: %d -> %d", mid, len(hits))
 	}
 	if m.ExitCode() != 8 {
 		t.Fatalf("exit = %d, want 8", m.ExitCode())
 	}
 	// Every recorded hit names the watched word.
-	for _, h := range svc.Hits {
+	for _, h := range hits {
 		if h.Addr != sym.Addr {
 			t.Fatalf("stray hit at %#x", h.Addr)
 		}
@@ -149,7 +151,7 @@ int main() {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(svc.Hits) != 0 {
+		if svc.HitCount != 0 {
 			t.Fatal("far regions must not hit")
 		}
 		return m.Cycles()

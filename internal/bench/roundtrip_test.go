@@ -137,6 +137,8 @@ func TestEngineRoundTripKindRegions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var refHits, hits []monitor.Hit
+			refSvc.OnHit = func(h monitor.Hit) { refHits = append(refHits, h) }
 			arm(t, refSvc)
 			refCode, err := ref.Run()
 			if err != nil {
@@ -153,6 +155,7 @@ func TestEngineRoundTripKindRegions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 			arm(t, svc)
 			var code int32
 			for i := 0; ; i++ {
@@ -180,11 +183,11 @@ func TestEngineRoundTripKindRegions(t *testing.T) {
 			if svc.HitCount != refSvc.HitCount {
 				t.Errorf("hit count %d, reference %d", svc.HitCount, refSvc.HitCount)
 			}
-			for i := range refSvc.Hits {
-				if i >= len(svc.Hits) {
+			for i := range refHits {
+				if i >= len(hits) {
 					break
 				}
-				r, s := refSvc.Hits[i], svc.Hits[i]
+				r, s := refHits[i], hits[i]
 				rk := hitKey{r.Addr, r.Size, r.Read, r.Old, r.New, r.Instrs}
 				sk := hitKey{s.Addr, s.Size, s.Read, s.Old, s.New, s.Instrs}
 				if rk != sk {

@@ -17,6 +17,8 @@ type world struct {
 	svc  *monitor.Service
 	rt   *Runtime
 	res  *Result
+	// hits collects every hit the service delivers, in order.
+	hits []monitor.Hit
 }
 
 func build(t *testing.T, mode Mode, csrc string) *world {
@@ -44,7 +46,9 @@ func build(t *testing.T, mode Mode, csrc string) *world {
 		t.Fatal(err)
 	}
 	rt := NewRuntime(m, prog, res)
-	return &world{prog: prog, m: m, svc: svc, rt: rt, res: res}
+	w := &world{prog: prog, m: m, svc: svc, rt: rt, res: res}
+	svc.OnHit = func(h monitor.Hit) { w.hits = append(w.hits, h) }
+	return w
 }
 
 const loopProg = `
@@ -137,8 +141,8 @@ func TestRangeHitReinsertsChecksAndDetectsHits(t *testing.T) {
 	if w.rt.ArmEvents == 0 {
 		t.Fatal("pre-header range check must fire and arm the site")
 	}
-	if len(w.svc.Hits) != 1 || w.svc.Hits[0].Addr != target {
-		t.Fatalf("hits = %+v, want exactly one at %#x", w.svc.Hits, target)
+	if len(w.hits) != 1 || w.hits[0].Addr != target {
+		t.Fatalf("hits = %+v, want exactly one at %#x", w.hits, target)
 	}
 	// Program result must be unaffected by the detour through the patch
 	// block.
@@ -166,13 +170,13 @@ func TestPreMonitorSymbolDetectsKnownWrites(t *testing.T) {
 	}
 	found := false
 	sym, _ := w.prog.LookupSym("total", "")
-	for _, h := range w.svc.Hits {
+	for _, h := range w.hits {
 		if h.Addr == sym.Addr {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("write to total not detected; hits = %+v", w.svc.Hits)
+		t.Fatalf("write to total not detected; hits = %+v", w.hits)
 	}
 	if err := w.rt.PostMonitorSymbol(w.svc, "total"); err != nil {
 		t.Fatal(err)
@@ -197,7 +201,7 @@ func TestUnarmedKnownWriteIsMissedByDesign(t *testing.T) {
 	if _, err := w.m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range w.svc.Hits {
+	for _, h := range w.hits {
 		if h.Addr == sym.Addr {
 			t.Fatal("eliminated site fired without being armed: checks were not actually eliminated")
 		}
@@ -260,8 +264,8 @@ int main() { return fill(7); }
 	if _, err := w.m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(w.svc.Hits) != 50 {
-		t.Fatalf("hits = %d, want 50 (every loop write)", len(w.svc.Hits))
+	if len(w.hits) != 50 {
+		t.Fatalf("hits = %d, want 50 (every loop write)", len(w.hits))
 	}
 }
 
@@ -383,14 +387,16 @@ cell:	.word 1
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hits []monitor.Hit
+	svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 	if err := svc.CreateRegion(machine.DataBase, 4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(svc.Hits) != 1 {
-		t.Fatalf("hits = %d, want 1 (store must remain checked)", len(svc.Hits))
+	if len(hits) != 1 {
+		t.Fatalf("hits = %d, want 1 (store must remain checked)", len(hits))
 	}
 }
 
@@ -431,12 +437,12 @@ int main() {
 	// Expect two hits on a[5]: one from the loop (re-inserted via range
 	// check) and one from touch (armed symbol site).
 	var hits int
-	for _, h := range w.svc.Hits {
+	for _, h := range w.hits {
 		if h.Addr == sym.Addr+5*4 {
 			hits++
 		}
 	}
 	if hits != 2 {
-		t.Fatalf("hits on a[5] = %d, want 2 (%+v)", hits, w.svc.Hits)
+		t.Fatalf("hits on a[5] = %d, want 2 (%+v)", hits, w.hits)
 	}
 }

@@ -54,6 +54,8 @@ int main() {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var hits []monitor.Hit
+			svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 			rt := NewRuntime(m, prog, res)
 			if err := rt.PreMonitorSymbol(svc, "flag"); err != nil {
 				t.Fatal(err)
@@ -70,7 +72,7 @@ int main() {
 				t.Fatal("no flag label")
 			}
 			reads := 0
-			for _, h := range svc.Hits {
+			for _, h := range hits {
 				if !h.Read {
 					continue
 				}
@@ -80,7 +82,7 @@ int main() {
 				reads++
 			}
 			if reads != 3 {
-				t.Fatalf("read hits = %d, want 3 (hits: %+v)", reads, svc.Hits)
+				t.Fatalf("read hits = %d, want 3 (hits: %+v)", reads, hits)
 			}
 		})
 	}
@@ -128,7 +130,9 @@ func buildReads(t *testing.T, mode Mode, csrc string) *world {
 		t.Fatal(err)
 	}
 	rt := NewRuntime(m, prog, res)
-	return &world{prog: prog, m: m, svc: svc, rt: rt, res: res}
+	w := &world{prog: prog, m: m, svc: svc, rt: rt, res: res}
+	svc.OnHit = func(h monitor.Hit) { w.hits = append(w.hits, h) }
+	return w
 }
 
 // Eliminated load checks must re-insert exactly like store checks: a
@@ -152,7 +156,7 @@ func TestRangeHitReinsertsReadChecks(t *testing.T) {
 		t.Fatal("pre-header range check must fire and arm the sites")
 	}
 	reads := 0
-	for _, h := range w.svc.Hits {
+	for _, h := range w.hits {
 		if !h.Read {
 			t.Fatalf("store hit delivered through a load-kind region: %+v", h)
 		}
@@ -162,7 +166,7 @@ func TestRangeHitReinsertsReadChecks(t *testing.T) {
 		reads++
 	}
 	if reads != 1 {
-		t.Fatalf("read hits = %d, want 1 (hits: %+v)", reads, w.svc.Hits)
+		t.Fatalf("read hits = %d, want 1 (hits: %+v)", reads, w.hits)
 	}
 	if w.m.ExitCode() != 0 {
 		t.Fatalf("exit = %d, want 0", w.m.ExitCode())

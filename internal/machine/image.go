@@ -65,12 +65,14 @@ func (img *Image) Len() int { return len(img.text) }
 // Entry returns the image's entry point (a text index).
 func (img *Image) Entry() int32 { return img.entry }
 
-// SizeBytes reports the host memory held by the image (text + block index +
-// compiled traces), for artifact-cache accounting.
+// SizeBytes reports the host memory the image retains (text + block index +
+// compiled traces), for artifact-cache accounting. It counts capacities, and
+// BuildImage allocates every array at exactly its length, so the figure is
+// what the artifact cache's byte cap actually holds.
 func (img *Image) SizeBytes() int {
-	return len(img.text)*int(unsafe.Sizeof(sparc.Instr{})) +
-		len(img.uops)*int(unsafe.Sizeof(uop{})) +
-		len(img.traces)*int(unsafe.Sizeof((*traceProg)(nil))) +
+	return cap(img.text)*int(unsafe.Sizeof(sparc.Instr{})) +
+		cap(img.uops)*int(unsafe.Sizeof(uop{})) +
+		cap(img.traces)*int(unsafe.Sizeof((*traceProg)(nil))) +
 		img.TraceBytes()
 }
 
@@ -83,8 +85,8 @@ func (img *Image) TraceBytes() int {
 	for _, tr := range img.traces {
 		if tr != nil {
 			n += int(unsafe.Sizeof(traceProg{})) +
-				len(tr.ops)*int(unsafe.Sizeof(top{})) +
-				len(tr.spans)*8
+				cap(tr.ops)*int(unsafe.Sizeof(top{})) +
+				cap(tr.spans)*int(unsafe.Sizeof([2]int32{}))
 		}
 	}
 	return n

@@ -137,6 +137,10 @@ type Machine struct {
 	// measured bias instead of static guesses. nil on shared images and
 	// under non-trace engines.
 	brProf []uint32
+	// traceScratch is the working set noteHot compiles private traces
+	// through, reused across heads so a lazy compile allocates only the
+	// trace it returns.
+	traceScratch traceScratch
 	// hotThreshold is the per-head dispatch count that triggers lazy trace
 	// compilation (trace.go const, always the default outside package
 	// tests, which lower it to force compilation).

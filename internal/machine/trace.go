@@ -44,6 +44,7 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"databreak/internal/cache"
@@ -340,7 +341,7 @@ func (m *Machine) noteHot(pc int32) *traceProg {
 	switch {
 	case h >= m.hotThreshold: // hotNever: compilation declined, don't retry
 	case h+1 >= m.hotThreshold:
-		if tr := compileTrace(m.text, m.uops, pc, m.brProf, brProfMin, m.cache.LineShift()); tr != nil {
+		if tr := compileTrace(m.text, m.uops, pc, m.brProf, brProfMin, m.cache.LineShift(), &m.traceScratch); tr != nil {
 			m.traces[pc] = tr
 			m.hot[pc] = 0
 			return tr
@@ -638,7 +639,9 @@ func predictTaken(text []sparc.Instr, uops []uop, brPC, tgt int32) bool {
 // shift is the I-line shift the nl bits are computed under; a machine may
 // only execute traces whose shift matches its own cache geometry
 // (syncTraceState enforces this).
-func compileTrace(text []sparc.Instr, uops []uop, entry int32, prof []uint32, profMin, shift uint32) *traceProg {
+// sc is the caller's reusable working set; the returned trace shares none of
+// it and holds its ops and spans at exactly their length.
+func compileTrace(text []sparc.Instr, uops []uop, entry int32, prof []uint32, profMin, shift uint32, sc *traceScratch) *traceProg {
 	if uint32(entry) >= uint32(len(uops)) {
 		return nil
 	}
@@ -654,9 +657,13 @@ func compileTrace(text []sparc.Instr, uops []uop, entry int32, prof []uint32, pr
 			return nil
 		}
 	}
+	if len(sc.consumed) < len(text) {
+		sc.consumed = make([]bool, len(text))
+	}
 	var (
-		ops      []top
-		consumed = make([]bool, len(text))
+		ops      = sc.ops[:0]
+		consumed = sc.consumed
+		touched  = sc.touched[:0] // every index set in consumed, in walk order
 		ni       = 0
 		loop     = false
 		dyn      = false
@@ -683,10 +690,12 @@ scan:
 			i := pc
 			for i < stop {
 				consumed[i] = true
+				touched = append(touched, i)
 				in := &text[i]
 				if f, w := fuseAt(text, i, stop); w > 1 {
 					for k := int32(1); k < w; k++ {
 						consumed[i+k] = true
+						touched = append(touched, i+k)
 					}
 					t := top{op: f, ni: uint16(ni), iaddr: TextBase + uint32(i)*4}
 					switch f {
@@ -763,6 +772,7 @@ scan:
 		switch term.Op {
 		case sparc.Br:
 			consumed[pc] = true
+			touched = append(touched, pc)
 			cond := uint8(term.Cond & 15)
 			tgt := term.Target
 			// Fuse with an immediately preceding uncounted subcc.
@@ -833,6 +843,7 @@ scan:
 
 		case sparc.Call:
 			consumed[pc] = true
+			touched = append(touched, pc)
 			t := top{op: tCall, tgt: term.Target,
 				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
 			if t.cnt != 0 {
@@ -846,6 +857,7 @@ scan:
 			// Interior window shuffle: operand 2 unified like every other
 			// op, %g0 destinations discarded via the scratch register.
 			consumed[pc] = true
+			touched = append(touched, pc)
 			t := top{rd: uint8(term.Rd), rs1: uint8(term.Rs1),
 				cnt: uint16(term.Count), ni: uint16(ni), iaddr: ta}
 			if term.UseImm {
@@ -875,6 +887,7 @@ scan:
 			// when the target turns out to be invalid (Step raises the
 			// fault with the exact semantics, including the rd write).
 			consumed[pc] = true
+			touched = append(touched, pc)
 			ju, _ := decodeUop(term)
 			t := top{op: tJmpl, rd: ju.rd, rs1: ju.rs1, s2r: ju.s2r, imm: ju.s2i,
 				cnt: uint16(ju.cnt), ni: uint16(ni), iaddr: ta}
@@ -895,6 +908,12 @@ scan:
 		}
 	}
 
+	// Hand the grown buffers back and clear the marks for the next head:
+	// O(trace), never O(text).
+	for _, i := range touched {
+		consumed[i] = false
+	}
+	sc.ops, sc.touched = ops, touched
 	if !loop && !dyn && ni < minTraceInstrs {
 		return nil
 	}
@@ -921,14 +940,27 @@ scan:
 			}
 		}
 	}
-	ops = append(ops, top{op: tEnd})
+	// Copy out at the final size: the trace keeps none of the scratch's slack.
+	exact := make([]top, len(ops)+1)
+	copy(exact, ops)
+	exact[len(ops)] = top{op: tEnd}
 	return &traceProg{
 		entry:      entry,
 		exitPC:     exitPC,
 		passInstrs: int64(ni),
-		ops:        ops,
-		spans:      spansOf(consumed),
+		ops:        exact,
+		spans:      spansOf(touched),
 	}
+}
+
+// traceScratch is compileTrace's reusable working set: the op buffer, the
+// consumed marks over the text (all false between compiles), and the list
+// of indices marked during the current walk. Reusing one scratch makes a
+// compile cost O(trace) instead of O(text) in both allocation and time.
+type traceScratch struct {
+	ops      []top
+	consumed []bool
+	touched  []int32
 }
 
 // topWidth reports how many instructions (and ifetches, at iaddr, +4, +8) a
@@ -947,20 +979,25 @@ func topWidth(op topOp) int32 {
 	return 1
 }
 
-// spansOf collapses the consumed index set into sorted disjoint [lo,hi)
-// ranges for PatchInstr's coverage test.
-func spansOf(consumed []bool) [][2]int32 {
-	var spans [][2]int32
-	for i := 0; i < len(consumed); i++ {
-		if !consumed[i] {
-			continue
+// spansOf collapses the consumed indices into sorted, disjoint, merged
+// [lo,hi) ranges for PatchInstr's coverage test, allocated at exactly their
+// count. touched is sorted in place; it may repeat an index (a stitched run
+// that re-enters consumed code marks it twice).
+func spansOf(touched []int32) [][2]int32 {
+	slices.Sort(touched)
+	n := 0
+	for k, i := range touched {
+		if k == 0 || i > touched[k-1]+1 {
+			n++
 		}
-		j := i
-		for j < len(consumed) && consumed[j] {
-			j++
+	}
+	spans := make([][2]int32, 0, n)
+	for k, i := range touched {
+		if k == 0 || i > touched[k-1]+1 {
+			spans = append(spans, [2]int32{i, i + 1})
+		} else {
+			spans[len(spans)-1][1] = i + 1
 		}
-		spans = append(spans, [2]int32{int32(i), int32(j)})
-		i = j
 	}
 	return spans
 }
@@ -993,9 +1030,10 @@ func buildTraces(text []sparc.Instr, uops []uop, entry int32, shift uint32) []*t
 		}
 	}
 	traces := make([]*traceProg, len(text))
+	var sc traceScratch
 	for i, h := range heads {
 		if h {
-			traces[i] = compileTrace(text, uops, int32(i), nil, brProfMin, shift)
+			traces[i] = compileTrace(text, uops, int32(i), nil, brProfMin, shift, &sc)
 		}
 	}
 	return traces

@@ -25,26 +25,27 @@ func TestKindFilteringSuppressesWrongKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = m
+	hits := collectHits(s)
 
-	// Wrong-kind traps are suppressed entirely: no count, no log.
+	// Wrong-kind traps are suppressed entirely: not counted, not forwarded.
 	s.readHit(storeAddr, 4)
 	s.storeHit(loadAddr, 4)
-	if s.HitCount != 0 || len(s.Hits) != 0 {
-		t.Fatalf("suppressed traps were delivered: count=%d hits=%+v", s.HitCount, s.Hits)
+	if s.HitCount != 0 || len(*hits) != 0 {
+		t.Fatalf("suppressed traps were delivered: count=%d hits=%+v", s.HitCount, *hits)
 	}
 
 	s.storeHit(storeAddr, 4)
 	s.readHit(loadAddr, 4)
 	s.storeHit(allAddr, 4)
 	s.readHit(allAddr, 4)
-	if s.HitCount != 4 || len(s.Hits) != 4 {
-		t.Fatalf("delivered = %d (%d logged), want 4", s.HitCount, len(s.Hits))
+	if s.HitCount != 4 || len(*hits) != 4 {
+		t.Fatalf("delivered = %d (%d observed), want 4", s.HitCount, len(*hits))
 	}
-	if s.Hits[0].Read || s.Hits[0].Addr != storeAddr {
-		t.Errorf("hit 0 = %+v, want store at %#x", s.Hits[0], storeAddr)
+	if h := (*hits)[0]; h.Read || h.Addr != storeAddr {
+		t.Errorf("hit 0 = %+v, want store at %#x", h, storeAddr)
 	}
-	if !s.Hits[1].Read || s.Hits[1].Addr != loadAddr {
-		t.Errorf("hit 1 = %+v, want read at %#x", s.Hits[1], loadAddr)
+	if h := (*hits)[1]; !h.Read || h.Addr != loadAddr {
+		t.Errorf("hit 1 = %+v, want read at %#x", h, loadAddr)
 	}
 }
 
@@ -55,17 +56,21 @@ func TestTransitionShadowSnapshotAtCreate(t *testing.T) {
 	if err := s.CreateTransitionRegion(addr, 4, Predicate{Kind: PredChanged}); err != nil {
 		t.Fatal(err)
 	}
+	hits := collectHits(s)
 	// A store of the value already in memory at create time must not fire.
 	s.storeHit(addr, 4)
 	if s.HitCount != 0 {
-		t.Fatalf("redundant store fired: %+v", s.Hits)
+		t.Fatalf("redundant store fired: %+v", *hits)
 	}
 	m.WriteWord(addr, 6)
 	s.storeHit(addr, 4)
 	if s.HitCount != 1 {
 		t.Fatalf("changed store did not fire")
 	}
-	h := s.Hits[0]
+	if len(*hits) != 1 {
+		t.Fatalf("observed %d hits, want 1", len(*hits))
+	}
+	h := (*hits)[0]
 	if h.Old != 5 || h.New != 6 {
 		t.Fatalf("old/new = %d/%d, want 5/6", h.Old, h.New)
 	}
@@ -99,6 +104,7 @@ func TestTransitionPredicates(t *testing.T) {
 			if err := s.CreateTransitionRegion(addr, 4, c.pred); err != nil {
 				t.Fatal(err)
 			}
+			hits := collectHits(s)
 			delivered := int64(0)
 			for i, v := range c.stores {
 				m.WriteWord(addr, v)
@@ -111,8 +117,8 @@ func TestTransitionPredicates(t *testing.T) {
 						i, v, s.HitCount, delivered)
 				}
 			}
-			if int64(len(s.Hits)) != delivered {
-				t.Fatalf("hit log %d entries, want %d", len(s.Hits), delivered)
+			if int64(len(*hits)) != delivered {
+				t.Fatalf("observed %d hits, want %d", len(*hits), delivered)
 			}
 		})
 	}

@@ -20,6 +20,14 @@ func newMachineWithService(t *testing.T, cfg Config) (*machine.Machine, *Service
 	return m, s
 }
 
+// collectHits records, in order, every hit s delivers from now on; the
+// Service itself keeps no history.
+func collectHits(s *Service) *[]Hit {
+	var hits []Hit
+	s.OnHit = func(h Hit) { hits = append(hits, h) }
+	return &hits
+}
+
 // mustLib generates and parses the monitor library for cfg.
 func mustLib(t *testing.T, cfg Config) *asm.Unit {
 	t.Helper()
@@ -229,6 +237,7 @@ probes:
 		if err != nil {
 			t.Fatal(err)
 		}
+		hits := collectHits(s)
 		// Monitor words 1-2 of the probe grid and one far heap word.
 		if err := s.CreateRegion(0x2000_0004, 8); err != nil {
 			t.Fatal(err)
@@ -240,7 +249,7 @@ probes:
 			t.Fatalf("flags=%v: %v", flags, err)
 		}
 		var got []uint32
-		for _, h := range s.Hits {
+		for _, h := range *hits {
 			got = append(got, h.Addr)
 		}
 		want := []uint32{0x2000_0004, 0x2000_0008, 0x4000_0100}
@@ -349,7 +358,7 @@ main:
 	if len(ids) != 1 || ids[0] != 5 {
 		t.Fatalf("LI check ids = %v, want [5]", ids)
 	}
-	if len(s.Hits) != 0 {
+	if s.HitCount != 0 {
 		t.Fatal("LI pre-header check must not report a monitor hit")
 	}
 }
@@ -375,15 +384,15 @@ main:
 	prog.Load(m)
 	s.Reinstall()
 	s.CreateRegion(0x2000_0000, 4)
-	var observed int
-	s.OnHit = func(h Hit) { observed++ }
+	var hits []Hit
+	s.OnHit = func(h Hit) { hits = append(hits, h) }
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Hits) != 1 || observed != 1 {
-		t.Fatalf("hits = %d observed = %d", len(s.Hits), observed)
+	if s.HitCount != 1 || len(hits) != 1 {
+		t.Fatalf("hits = %d observed = %d", s.HitCount, len(hits))
 	}
-	h := s.Hits[0]
+	h := hits[0]
 	if h.Addr != 0x2000_0000 || h.Size != 4 || h.Instrs == 0 {
 		t.Fatalf("hit = %+v", h)
 	}

@@ -186,7 +186,7 @@ func TestSessionMidRunControl(t *testing.T) {
 	// Hit count depends on interleaving; the invariant is bounds.
 	var hits int
 	if err := sess.Do(func(_ *machine.Machine, svc *Service) error {
-		hits = len(svc.Hits)
+		hits = int(svc.HitCount)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

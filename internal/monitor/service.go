@@ -180,14 +180,10 @@ type Service struct {
 	// scan at all.
 	plainOnly bool
 
-	// Hits accumulates every monitor hit (also delivered to OnHit).
-	Hits []Hit
-	// NoHitLog suppresses the Hits accumulation (OnHit still fires). Long
-	// daemon-hosted runs over hot regions produce millions of hits; callers
-	// that stream them elsewhere set this so the Service holds no backlog.
-	NoHitLog bool
-	// HitCount counts every hit regardless of NoHitLog — the producer-side
-	// total a streaming consumer can reconcile its deliveries against.
+	// HitCount counts every delivered hit — the producer-side total a
+	// streaming consumer can reconcile its deliveries against. The Service
+	// keeps no history of hits: hot regions produce millions of them, so a
+	// caller that needs their contents collects them through OnHit.
 	HitCount int64
 	// OnHit, when non-nil, observes each hit as it happens.
 	OnHit func(h Hit)
@@ -226,12 +222,10 @@ func NewService(cfg Config, m *machine.Machine) (*Service, error) {
 	return s, nil
 }
 
-// deliver records one hit that survived kind and predicate filtering.
+// deliver counts one hit that survived kind and predicate filtering and
+// streams it to OnHit; nothing is retained.
 func (s *Service) deliver(h Hit) {
 	s.HitCount++
-	if !s.NoHitLog {
-		s.Hits = append(s.Hits, h)
-	}
 	if s.OnHit != nil {
 		s.OnHit(h)
 	}
@@ -243,7 +237,7 @@ func (s *Service) deliver(h Hit) {
 // copy, making old-value capture exact with no deferred resolution.
 //
 // Suppressed hits — wrong kind, or a transition whose predicate result did
-// not change — are not counted, logged, or forwarded: HitCount tracks
+// not change — are neither counted nor forwarded: HitCount tracks
 // delivered hits only, so streaming consumers reconcile against what they
 // can actually receive.
 func (s *Service) storeHit(addr uint32, size int32) {

@@ -602,12 +602,6 @@ func (cn *conn) handleAttach(m *Msg) {
 		cn.fail(m.Seq, "attach %s: %v", m.SID, err)
 		return
 	}
-	// The daemon streams hits; holding the per-service log would retain
-	// every hit of every session for the session's lifetime.
-	ms.Do(func(_ *machine.Machine, svc *monitor.Service) error {
-		svc.NoHitLog = true
-		return nil
-	})
 	s := &session{sid: m.SID, cn: cn, shard: sh, ms: ms, prog: prog}
 	cn.mu.Lock()
 	dup := cn.sess[m.SID] != nil

@@ -93,7 +93,6 @@ func serialRun(t *testing.T, prog *asm.Program, regions [][2]uint32) serialResul
 	if err != nil {
 		t.Fatalf("serial service: %v", err)
 	}
-	svc.NoHitLog = true
 	for _, r := range regions {
 		if err := svc.CreateRegion(r[0], r[1]); err != nil {
 			t.Fatalf("serial region %#x: %v", r[0], err)

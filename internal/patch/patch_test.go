@@ -11,9 +11,9 @@ import (
 )
 
 // buildAndRun patches src with the strategy, assembles, attaches a monitor
-// service, creates the given regions, runs, and returns machine + service +
-// program.
-func buildAndRun(t *testing.T, src string, strat Strategy, regions [][2]uint32) (*machine.Machine, *monitor.Service, *asm.Program) {
+// service, creates the given regions, runs, and returns the machine, every
+// hit the service delivered (in order), and the program.
+func buildAndRun(t *testing.T, src string, strat Strategy, regions [][2]uint32) (*machine.Machine, []monitor.Hit, *asm.Program) {
 	t.Helper()
 	u, err := asm.Parse("prog.s", src)
 	if err != nil {
@@ -37,6 +37,8 @@ func buildAndRun(t *testing.T, src string, strat Strategy, regions [][2]uint32) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hits []monitor.Hit
+	svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 	for _, r := range regions {
 		if err := svc.CreateRegion(r[0], r[1]); err != nil {
 			t.Fatal(err)
@@ -45,7 +47,7 @@ func buildAndRun(t *testing.T, src string, strat Strategy, regions [][2]uint32) 
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("run (%v): %v", strat, err)
 	}
-	return m, svc, prog
+	return m, hits, prog
 }
 
 // progGlobalStores writes 0..9 into a global array, then writes one word
@@ -93,14 +95,14 @@ func TestEveryStrategyDetectsHit(t *testing.T) {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			// target = DataBase + 40.
-			m, svc, prog := buildAndRun(t, progGlobalStores, strat,
+			m, hits, prog := buildAndRun(t, progGlobalStores, strat,
 				[][2]uint32{{machine.DataBase + 40, 4}})
 			want := targetAddr(t, prog)
-			if len(svc.Hits) != 1 {
-				t.Fatalf("hits = %d, want 1 (%v)", len(svc.Hits), svc.Hits)
+			if len(hits) != 1 {
+				t.Fatalf("hits = %d, want 1 (%v)", len(hits), hits)
 			}
-			if svc.Hits[0].Addr != want || svc.Hits[0].Size != 4 {
-				t.Fatalf("hit = %+v, want addr %#x", svc.Hits[0], want)
+			if hits[0].Addr != want || hits[0].Size != 4 {
+				t.Fatalf("hit = %+v, want addr %#x", hits[0], want)
 			}
 			if m.ReadWord(want) != 77 {
 				t.Fatal("store must still have executed")
@@ -114,10 +116,10 @@ func TestEveryStrategyNoFalseHits(t *testing.T) {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			// Monitor an address the program never writes.
-			_, svc, _ := buildAndRun(t, progGlobalStores, strat,
+			_, hits, _ := buildAndRun(t, progGlobalStores, strat,
 				[][2]uint32{{machine.HeapBase + 0x1000, 4}})
-			if len(svc.Hits) != 0 {
-				t.Fatalf("unexpected hits: %+v", svc.Hits)
+			if len(hits) != 0 {
+				t.Fatalf("unexpected hits: %+v", hits)
 			}
 		})
 	}
@@ -128,10 +130,10 @@ func TestHitInsideMonitoredArray(t *testing.T) {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			// Monitor arr[4..5]: exactly two of the ten loop stores hit.
-			_, svc, _ := buildAndRun(t, progGlobalStores, strat,
+			_, hits, _ := buildAndRun(t, progGlobalStores, strat,
 				[][2]uint32{{machine.DataBase + 16, 8}})
-			if len(svc.Hits) != 2 {
-				t.Fatalf("hits = %d, want 2: %+v", len(svc.Hits), svc.Hits)
+			if len(hits) != 2 {
+				t.Fatalf("hits = %d, want 2: %+v", len(hits), hits)
 			}
 		})
 	}
@@ -171,14 +173,16 @@ main:
 			}
 			// Frame: sp starts at StackTop; main's fp = StackTop.
 			slot := machine.StackTop - 16
+			var hits []monitor.Hit
+			svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 			if err := svc.CreateRegion(slot, 4); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if len(svc.Hits) != 1 || svc.Hits[0].Addr != slot {
-				t.Fatalf("hits = %+v, want one at %#x", svc.Hits, slot)
+			if len(hits) != 1 || hits[0].Addr != slot {
+				t.Fatalf("hits = %+v, want one at %#x", hits, slot)
 			}
 		})
 	}
@@ -214,14 +218,16 @@ main:
 			svc, _ := monitor.NewService(cfg, m)
 			// Monitor only the SECOND word of the std.
 			slot := machine.StackTop - 28
+			var hits []monitor.Hit
+			svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 			if err := svc.CreateRegion(slot, 4); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if len(svc.Hits) != 1 || svc.Hits[0].Size != 8 {
-				t.Fatalf("hits = %+v, want one 8-byte hit", svc.Hits)
+			if len(hits) != 1 || hits[0].Size != 8 {
+				t.Fatalf("hits = %+v, want one 8-byte hit", hits)
 			}
 		})
 	}
@@ -430,6 +436,8 @@ func TestReadCheckingDetectsReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var hits []monitor.Hit
+			svc.OnHit = func(h monitor.Hit) { hits = append(hits, h) }
 			// Monitor cells[0]: one write hit and one read hit expected;
 			// the read of cells[1] must not hit.
 			if err := svc.CreateRegion(machine.DataBase, 4); err != nil {
@@ -443,7 +451,7 @@ func TestReadCheckingDetectsReads(t *testing.T) {
 				t.Fatalf("exit = %d, want 42", code)
 			}
 			var reads, writes int
-			for _, h := range svc.Hits {
+			for _, h := range hits {
 				if h.Addr != machine.DataBase {
 					t.Fatalf("hit at wrong address %#x", h.Addr)
 				}
@@ -454,7 +462,7 @@ func TestReadCheckingDetectsReads(t *testing.T) {
 				}
 			}
 			if reads != 1 || writes != 1 {
-				t.Fatalf("reads=%d writes=%d, want 1 and 1 (%+v)", reads, writes, svc.Hits)
+				t.Fatalf("reads=%d writes=%d, want 1 and 1 (%+v)", reads, writes, hits)
 			}
 			if got := prog.Counter(m, CounterReads); got != 2 {
 				t.Fatalf("reads counter = %d, want 2", got)
@@ -547,6 +555,8 @@ func TestReadCheckClobberedAddressRegister(t *testing.T) {
 			if !ok {
 				t.Fatal("no cells label")
 			}
+			var delivered []monitor.Hit
+			svc.OnHit = func(h monitor.Hit) { delivered = append(delivered, h) }
 			if err := svc.CreateRegion(ptrAddr, 4); err != nil {
 				t.Fatal(err)
 			}
@@ -561,7 +571,7 @@ func TestReadCheckClobberedAddressRegister(t *testing.T) {
 				t.Fatalf("exit = %d, want 42", code)
 			}
 			hits := map[uint32]int{}
-			for _, h := range svc.Hits {
+			for _, h := range delivered {
 				if !h.Read {
 					t.Fatalf("unexpected write hit at %#x", h.Addr)
 				}
